@@ -87,7 +87,7 @@ using simd::detail::shift_round;
 
 /// Shift-round-saturate an accumulator back to a vector (AIE `srs`).
 template <class T, class B = simd::backend, class Tag, unsigned N>
-[[nodiscard]] inline vector<T, N> srs(const accum<Tag, N>& a, int shift) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> srs(const accum<Tag, N>& a, int shift) {
   record(OpClass::vector_shift);
   vector<T, N> r;
   if constexpr (std::is_same_v<Tag, accfloat_tag>) {
@@ -103,7 +103,7 @@ template <class T, class B = simd::backend, class Tag, unsigned N>
 
 /// Upshift a vector into an accumulator (AIE `ups`).
 template <class Tag = acc48_tag, class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline accum<Tag, N> ups(const vector<T, N>& v, int shift) {
+[[nodiscard]] CGSIM_SIMD_INLINE accum<Tag, N> ups(const vector<T, N>& v, int shift) {
   record(OpClass::vector_shift);
   accum<Tag, N> a;
   if constexpr (std::is_same_v<Tag, accfloat_tag>) {
@@ -119,7 +119,7 @@ template <class Tag = acc48_tag, class B = simd::backend, class T, unsigned N>
 
 /// Converts a float vector to a float accumulator (identity lanes).
 template <class B = simd::backend, unsigned N>
-[[nodiscard]] inline accfloat<N> to_accum(const vector<float, N>& v) {
+[[nodiscard]] CGSIM_SIMD_INLINE accfloat<N> to_accum(const vector<float, N>& v) {
   record(OpClass::vector_alu);
   accfloat<N> a;
   B::template convert<float, float, N>(a.data().data(), v.data().data());
@@ -128,7 +128,7 @@ template <class B = simd::backend, unsigned N>
 
 /// Extracts the lanes of a float accumulator as a vector.
 template <class B = simd::backend, unsigned N>
-[[nodiscard]] inline vector<float, N> to_vector(const accfloat<N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<float, N> to_vector(const accfloat<N>& a) {
   record(OpClass::vector_alu);
   vector<float, N> v;
   B::template convert<float, float, N>(v.data().data(), a.data().data());

@@ -40,7 +40,7 @@ using acc_elem_for =
 // ---------- element-wise vector arithmetic ----------
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> add(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> add(const vector<T, N>& a,
                                       const vector<T, N>& b) {
   record(OpClass::vector_alu);
   vector<T, N> r;
@@ -49,7 +49,7 @@ template <class B = simd::backend, class T, unsigned N>
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> sub(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> sub(const vector<T, N>& a,
                                       const vector<T, N>& b) {
   record(OpClass::vector_alu);
   vector<T, N> r;
@@ -58,7 +58,7 @@ template <class B = simd::backend, class T, unsigned N>
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> neg(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> neg(const vector<T, N>& a) {
   record(OpClass::vector_alu);
   vector<T, N> r;
   B::template neg<T, N>(r.data().data(), a.data().data());
@@ -66,7 +66,7 @@ template <class B = simd::backend, class T, unsigned N>
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> abs(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> abs(const vector<T, N>& a) {
   record(OpClass::vector_alu);
   vector<T, N> r;
   B::template abs_<T, N>(r.data().data(), a.data().data());
@@ -75,7 +75,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Per-lane clamp into [lo, hi] (AIE `aie::max(aie::min(...))` idiom).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> clamp(const vector<T, N>& a, T lo, T hi) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> clamp(const vector<T, N>& a, T lo, T hi) {
   record(OpClass::vector_alu, 2);
   vector<T, N> r;
   B::template clamp<T, N>(r.data().data(), a.data().data(), lo, hi);
@@ -83,7 +83,7 @@ template <class B = simd::backend, class T, unsigned N>
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> min(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> min(const vector<T, N>& a,
                                       const vector<T, N>& b) {
   record(OpClass::vector_alu);
   vector<T, N> r;
@@ -92,7 +92,7 @@ template <class B = simd::backend, class T, unsigned N>
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> max(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> max(const vector<T, N>& a,
                                       const vector<T, N>& b) {
   record(OpClass::vector_alu);
   vector<T, N> r;
@@ -104,7 +104,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Lane-wise multiply into an accumulator (AIE `aie::mul`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline accum<detail::acc_tag_for<T>, N> mul(
+[[nodiscard]] CGSIM_SIMD_INLINE accum<detail::acc_tag_for<T>, N> mul(
     const vector<T, N>& a, const vector<T, N>& b) {
   record(OpClass::vector_mac);
   accum<detail::acc_tag_for<T>, N> acc;
@@ -115,7 +115,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Lane-wise multiply-accumulate (AIE `aie::mac`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline accum<detail::acc_tag_for<T>, N> mac(
+[[nodiscard]] CGSIM_SIMD_INLINE accum<detail::acc_tag_for<T>, N> mac(
     const accum<detail::acc_tag_for<T>, N>& acc, const vector<T, N>& a,
     const vector<T, N>& b) {
   record(OpClass::vector_mac);
@@ -127,7 +127,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Lane-wise multiply-subtract (AIE `aie::msc`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline accum<detail::acc_tag_for<T>, N> msc(
+[[nodiscard]] CGSIM_SIMD_INLINE accum<detail::acc_tag_for<T>, N> msc(
     const accum<detail::acc_tag_for<T>, N>& acc, const vector<T, N>& a,
     const vector<T, N>& b) {
   record(OpClass::vector_mac);
@@ -139,7 +139,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Multiply by a broadcast scalar (AIE `aie::mul(vec, scalar)`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline accum<detail::acc_tag_for<T>, N> mul(
+[[nodiscard]] CGSIM_SIMD_INLINE accum<detail::acc_tag_for<T>, N> mul(
     const vector<T, N>& a, T s) {
   record(OpClass::vector_mac);
   accum<detail::acc_tag_for<T>, N> acc;
@@ -149,7 +149,7 @@ template <class B = simd::backend, class T, unsigned N>
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline accum<detail::acc_tag_for<T>, N> mac(
+[[nodiscard]] CGSIM_SIMD_INLINE accum<detail::acc_tag_for<T>, N> mac(
     const accum<detail::acc_tag_for<T>, N>& acc, const vector<T, N>& a, T s) {
   record(OpClass::vector_mac);
   accum<detail::acc_tag_for<T>, N> r = acc;
@@ -163,7 +163,7 @@ template <class B = simd::backend, class T, unsigned N>
 /// 4-deep dot-product multiply into int32 accumulator lanes (the AIE-ML
 /// 8-bit MAC shape): result lane l = sum_{j<4} a[4l+j] * b[4l+j].
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline acc32<N / 4> mul_dot4(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE acc32<N / 4> mul_dot4(const vector<T, N>& a,
                                            const vector<T, N>& b) {
   static_assert(std::is_integral_v<T> && sizeof(T) <= 2 && N % 4 == 0);
   record(OpClass::vector_mac);
@@ -175,7 +175,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// 4-deep dot-product multiply-accumulate (AIE-ML `aie::mac` 8-bit mode).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline acc32<N / 4> mac_dot4(const acc32<N / 4>& acc,
+[[nodiscard]] CGSIM_SIMD_INLINE acc32<N / 4> mac_dot4(const acc32<N / 4>& acc,
                                            const vector<T, N>& a,
                                            const vector<T, N>& b) {
   static_assert(std::is_integral_v<T> && sizeof(T) <= 2 && N % 4 == 0);
@@ -189,7 +189,7 @@ template <class B = simd::backend, class T, unsigned N>
 /// Broadcast-scalar MAC into int32 accumulator lanes: acc[l] += s * a[l]
 /// (the conv2d tap step on AIE-ML's 32-bit accumulators).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline acc32<N> mac(const acc32<N>& acc, const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE acc32<N> mac(const acc32<N>& acc, const vector<T, N>& a,
                                   std::int32_t s) {
   static_assert(std::is_integral_v<T> && sizeof(T) <= 2);
   record(OpClass::vector_mac);
@@ -201,7 +201,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Widening lane convert (AIE `aie::unpack`): int8 -> int16/int32, etc.
 template <class To, class B = simd::backend, class From, unsigned N>
-[[nodiscard]] inline vector<To, N> unpack(const vector<From, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<To, N> unpack(const vector<From, N>& a) {
   static_assert(sizeof(To) >= sizeof(From));
   record(OpClass::vector_alu);
   vector<To, N> r;
@@ -212,7 +212,7 @@ template <class To, class B = simd::backend, class From, unsigned N>
 /// Narrowing lane convert with saturation (AIE `aie::pack` with the
 /// saturating mode): int32 -> int16/int8, int16 -> int8.
 template <class To, class B = simd::backend, class From, unsigned N>
-[[nodiscard]] inline vector<To, N> pack_sat(const vector<From, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<To, N> pack_sat(const vector<From, N>& a) {
   record(OpClass::vector_shift);
   vector<To, N> r;
   B::template convert_sat<To, From, N>(r.data().data(), a.data().data());
@@ -221,7 +221,7 @@ template <class To, class B = simd::backend, class From, unsigned N>
 
 /// Widens bf16 lanes to a float vector (bf16 load/convert emulation).
 template <class B = simd::backend, unsigned N>
-[[nodiscard]] inline vector<float, N> to_float(const vector<bf16, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<float, N> to_float(const vector<bf16, N>& a) {
   record(OpClass::vector_alu);
   vector<float, N> r;
   // bf16 is layout-identical to its uint16 payload (single-member struct).
@@ -233,7 +233,7 @@ template <class B = simd::backend, unsigned N>
 
 /// Narrows float lanes to bf16 (round-to-nearest-even, NaNs quieted).
 template <class B = simd::backend, unsigned N>
-[[nodiscard]] inline vector<bf16, N> to_bf16(const vector<float, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<bf16, N> to_bf16(const vector<float, N>& a) {
   record(OpClass::vector_alu);
   vector<bf16, N> r;
   B::template f32_to_bf16<N>(
@@ -245,7 +245,7 @@ template <class B = simd::backend, unsigned N>
 /// polynomial, ~2e-4 relative error; negative inputs clamp to 0, i.e.
 /// result 1.0). The softmax exponential on integer lanes.
 template <class B = simd::backend, unsigned N>
-[[nodiscard]] inline vector<std::int32_t, N> exp2_neg_q15(
+[[nodiscard]] CGSIM_SIMD_INLINE vector<std::int32_t, N> exp2_neg_q15(
     const vector<std::int32_t, N>& a) {
   record(OpClass::vector_alu, /*range split + poly*/ 6);
   vector<std::int32_t, N> r;
@@ -261,15 +261,16 @@ template <class B = simd::backend, unsigned N>
 /// hand-optimized AIE FIR/Farrow kernels.
 ///
 /// When successive lanes read contiguous data (DataStepY == 1) and no index
-/// wraps, each tap executes as one broadcast-MAC over the whole lane vector
-/// (`Points` vector MACs total); otherwise the generic per-lane form runs.
-/// Both paths accumulate taps in the same order, so results are bit-exact
-/// across paths and backends.
+/// wraps, the whole call is one backend `sliding_mac`: every tap is a
+/// broadcast-MAC over the lane vector, and the accumulator stays in host
+/// registers across all `Points` taps. Otherwise the generic per-lane form
+/// runs. Both paths accumulate taps in the same order, so results are
+/// bit-exact across paths and backends.
 template <unsigned Lanes, unsigned Points, int CoeffStep = 1,
           int DataStepX = 1, int DataStepY = 1, class B = simd::backend>
 struct sliding_mul_ops {
   template <class C, unsigned NC, class D, unsigned ND>
-  [[nodiscard]] static accum<detail::acc_tag_for<D>, Lanes> mul(
+  [[nodiscard]] CGSIM_SIMD_INLINE static accum<detail::acc_tag_for<D>, Lanes> mul(
       const vector<C, NC>& coeff, unsigned cstart, const vector<D, ND>& data,
       unsigned dstart) {
     record(OpClass::vector_mac, Points);  // Points MACs issue back-to-back
@@ -279,7 +280,7 @@ struct sliding_mul_ops {
   }
 
   template <class C, unsigned NC, class D, unsigned ND>
-  [[nodiscard]] static accum<detail::acc_tag_for<D>, Lanes> mac(
+  [[nodiscard]] CGSIM_SIMD_INLINE static accum<detail::acc_tag_for<D>, Lanes> mac(
       accum<detail::acc_tag_for<D>, Lanes> acc, const vector<C, NC>& coeff,
       unsigned cstart, const vector<D, ND>& data, unsigned dstart) {
     record(OpClass::vector_mac, Points);
@@ -291,7 +292,7 @@ struct sliding_mul_ops {
   /// True when every data access of this call lands in [0, ND) without the
   /// generic path's modulo wrap, so lanes can load contiguously.
   template <unsigned ND>
-  [[nodiscard]] static bool contiguous_in_bounds(unsigned dstart) {
+  [[nodiscard]] CGSIM_SIMD_INLINE static bool contiguous_in_bounds(unsigned dstart) {
     if constexpr (DataStepY != 1) return (void)dstart, false;
     const int base = static_cast<int>(dstart);
     const int span = static_cast<int>(Points - 1) * DataStepX;
@@ -301,21 +302,21 @@ struct sliding_mul_ops {
   }
 
   template <class C, unsigned NC, class D, unsigned ND>
-  static void accumulate(accum<detail::acc_tag_for<D>, Lanes>& acc,
+  CGSIM_SIMD_INLINE static void accumulate(accum<detail::acc_tag_for<D>, Lanes>& acc,
                          const vector<C, NC>& coeff, unsigned cstart,
                          const vector<D, ND>& data, unsigned dstart) {
     using A = detail::acc_elem_for<D>;
     if (contiguous_in_bounds<ND>(dstart)) {
+      std::array<A, Points> c;
       for (unsigned p = 0; p < Points; ++p) {
         const auto ci =
             static_cast<unsigned>(static_cast<int>(cstart) +
                                   static_cast<int>(p) * CoeffStep) % NC;
-        const int di0 = static_cast<int>(dstart) +
-                        static_cast<int>(p) * DataStepX;
-        B::template mac_bcast<A, D, Lanes>(
-            acc.data().data(), data.data().data() + di0,
-            static_cast<A>(coeff.get(ci)));
+        c[p] = static_cast<A>(coeff.get(ci));
       }
+      B::template sliding_mac<A, C, D, Lanes, ND, Points, DataStepX>(
+          acc.data().data(), c.data(), data.data().data(),
+          static_cast<int>(dstart));
       return;
     }
     for (unsigned lane = 0; lane < Lanes; ++lane) {
@@ -345,7 +346,7 @@ struct sliding_mul_sym_ops {
   static_assert(Points % 2 == 0, "symmetric form implemented for even taps");
 
   template <class C, unsigned NC, class D, unsigned ND>
-  [[nodiscard]] static accum<detail::acc_tag_for<D>, Lanes> mul(
+  [[nodiscard]] CGSIM_SIMD_INLINE static accum<detail::acc_tag_for<D>, Lanes> mul(
       const vector<C, NC>& coeff, unsigned cstart, const vector<D, ND>& data,
       unsigned dstart) {
     record(OpClass::vector_mac, Points / 2);
@@ -382,36 +383,38 @@ struct sliding_mul_sym_ops {
 // ---------- compares, select, shuffles (sorting networks) ----------
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline mask<N> lt(const vector<T, N>& a, const vector<T, N>& b) {
+[[nodiscard]] CGSIM_SIMD_INLINE mask<N> lt(const vector<T, N>& a, const vector<T, N>& b) {
   record(OpClass::vector_alu);
   mask<N> m;
-  B::template lt<T, N>(m.data().data(), a.data().data(), b.data().data());
+  B::template lt<T, N>(m.words().data(), a.data().data(), b.data().data());
   return m;
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline mask<N> ge(const vector<T, N>& a, const vector<T, N>& b) {
+[[nodiscard]] CGSIM_SIMD_INLINE mask<N> ge(const vector<T, N>& a, const vector<T, N>& b) {
   record(OpClass::vector_alu);
   mask<N> m;
-  B::template ge<T, N>(m.data().data(), a.data().data(), b.data().data());
+  B::template ge<T, N>(m.words().data(), a.data().data(), b.data().data());
   return m;
 }
 
 /// Per-lane select: lane i is a[i] where m[i], else b[i] (AIE `select`).
+/// The mask's lane bits feed the backend's blend directly; a mask known at
+/// compile time (a constexpr aie::mask) folds into the blend itself.
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> select(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> select(const vector<T, N>& a,
                                          const vector<T, N>& b,
                                          const mask<N>& m) {
   record(OpClass::vector_alu);
   vector<T, N> r;
   B::template select<T, N>(r.data().data(), a.data().data(), b.data().data(),
-                           m.data().data());
+                           m.words().data());
   return r;
 }
 
 /// Rotates lanes down by `n` (lane i <- lane (i+n) mod N).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> shuffle_down(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> shuffle_down(const vector<T, N>& a,
                                                unsigned n) {
   record(OpClass::shuffle);
   vector<T, N> r;
@@ -421,7 +424,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Rotates lanes up by `n` (lane i <- lane (i-n) mod N).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> shuffle_up(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> shuffle_up(const vector<T, N>& a,
                                              unsigned n) {
   record(OpClass::shuffle);
   vector<T, N> r;
@@ -431,7 +434,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Reverses lane order (AIE `aie::reverse`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> reverse(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> reverse(const vector<T, N>& a) {
   record(OpClass::shuffle);
   vector<T, N> r;
   B::template reverse<T, N>(r.data().data(), a.data().data());
@@ -441,7 +444,7 @@ template <class B = simd::backend, class T, unsigned N>
 /// Exchanges lanes within blocks of 2*`stride`: lane i swaps with lane
 /// i XOR stride. This is the butterfly permutation bitonic networks use.
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> butterfly(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> butterfly(const vector<T, N>& a,
                                             unsigned stride) {
   record(OpClass::shuffle);
   vector<T, N> r;
@@ -451,7 +454,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Gathers arbitrary lanes: r[i] = a[idx[i]] (AIE generalized shuffle).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N> permute(const vector<T, N>& a,
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> permute(const vector<T, N>& a,
                                           const vector<std::int32_t, N>& idx) {
   record(OpClass::shuffle);
   vector<T, N> r;
@@ -462,7 +465,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Interleaves even/odd lanes of two vectors (AIE `interleave_zip`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline std::pair<vector<T, N>, vector<T, N>> interleave_zip(
+[[nodiscard]] CGSIM_SIMD_INLINE std::pair<vector<T, N>, vector<T, N>> interleave_zip(
     const vector<T, N>& a, const vector<T, N>& b) {
   record(OpClass::shuffle, 2);
   vector<T, N> lo, hi;
@@ -473,7 +476,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// De-interleaves lanes of two vectors (AIE `interleave_unzip`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline std::pair<vector<T, N>, vector<T, N>> interleave_unzip(
+[[nodiscard]] CGSIM_SIMD_INLINE std::pair<vector<T, N>, vector<T, N>> interleave_unzip(
     const vector<T, N>& a, const vector<T, N>& b) {
   record(OpClass::shuffle, 2);
   vector<T, N> even, odd;
@@ -485,7 +488,7 @@ template <class B = simd::backend, class T, unsigned N>
 /// Keeps the even-indexed lanes in the lower half (AIE `filter_even`);
 /// the upper half is zero.
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N / 2> filter_even(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N / 2> filter_even(const vector<T, N>& a) {
   record(OpClass::shuffle);
   vector<T, N / 2> r;
   B::template filter_even<T, N>(r.data().data(), a.data().data());
@@ -494,7 +497,7 @@ template <class B = simd::backend, class T, unsigned N>
 
 /// Keeps the odd-indexed lanes (AIE `filter_odd`).
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline vector<T, N / 2> filter_odd(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N / 2> filter_odd(const vector<T, N>& a) {
   record(OpClass::shuffle);
   vector<T, N / 2> r;
   B::template filter_odd<T, N>(r.data().data(), a.data().data());
@@ -506,19 +509,19 @@ template <class B = simd::backend, class T, unsigned N>
 // single evaluation order is what keeps backends bit-exact (simd.hpp).
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline T reduce_add(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE T reduce_add(const vector<T, N>& a) {
   record(OpClass::vector_alu, /*log-tree*/ 4);
   return B::template reduce_add<T, N>(a.data().data());
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline T reduce_min(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE T reduce_min(const vector<T, N>& a) {
   record(OpClass::vector_alu, 4);
   return B::template reduce_min<T, N>(a.data().data());
 }
 
 template <class B = simd::backend, class T, unsigned N>
-[[nodiscard]] inline T reduce_max(const vector<T, N>& a) {
+[[nodiscard]] CGSIM_SIMD_INLINE T reduce_max(const vector<T, N>& a) {
   record(OpClass::vector_alu, 4);
   return B::template reduce_max<T, N>(a.data().data());
 }

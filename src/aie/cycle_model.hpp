@@ -115,10 +115,11 @@ inline void set_active_counter(OpCounter* c) {
 }
 
 /// Records `n` operations of class `c` into the active counter, if any.
+/// Always inlined, like the emulated ops that call it (simd.hpp).
 #if defined(CGSIM_AIE_NO_INSTRUMENT)
 inline void record(OpClass, std::uint64_t = 1) {}
 #else
-inline void record(OpClass c, std::uint64_t n = 1) {
+[[gnu::always_inline]] inline void record(OpClass c, std::uint64_t n = 1) {
   if (OpCounter* cnt = detail::g_active_counter; cnt != nullptr) {
     cnt->counts.add(c, n);
   }

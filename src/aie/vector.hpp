@@ -83,7 +83,7 @@ class vector {
   /// Extracts sub-vector `part` of `N / Parts` lanes (AIE `extract`).
   /// A contiguous lane slice: one block copy regardless of backend.
   template <unsigned Parts>
-  [[nodiscard]] vector<T, N / Parts> extract(unsigned part) const {
+  [[nodiscard]] CGSIM_SIMD_INLINE vector<T, N / Parts> extract(unsigned part) const {
     static_assert(Parts > 0 && N % Parts == 0);
     record(OpClass::shuffle);
     vector<T, N / Parts> r;
@@ -94,7 +94,7 @@ class vector {
 
   /// Inserts `sub` as part `part` (AIE `insert`).
   template <unsigned M>
-  vector& insert(unsigned part, const vector<T, M>& sub) {
+  CGSIM_SIMD_INLINE vector& insert(unsigned part, const vector<T, M>& sub) {
     static_assert(M <= N && N % M == 0);
     record(OpClass::shuffle);
     std::memcpy(lanes_.data() + part * M, sub.data().data(), M * sizeof(T));
@@ -102,7 +102,7 @@ class vector {
   }
 
   /// Widens into the lower half of a 2N vector (upper lanes zero).
-  [[nodiscard]] vector<T, 2 * N> grow() const {
+  [[nodiscard]] CGSIM_SIMD_INLINE vector<T, 2 * N> grow() const {
     record(OpClass::shuffle);
     vector<T, 2 * N> r;  // value-initialized: upper lanes stay zero
     std::memcpy(r.data().data(), lanes_.data(), N * sizeof(T));
@@ -132,7 +132,7 @@ using v64int8 = vector<std::int8_t, 64>;
 
 /// Loads N lanes from (aligned) memory -- AIE `aie::load_v<N>(ptr)`.
 template <unsigned N, class T>
-[[nodiscard]] inline vector<T, N> load_v(const T* ptr) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> load_v(const T* ptr) {
   record(OpClass::load, (N * sizeof(T) + 31) / 32);  // 256-bit loads
   vector<T, N> r;
   std::memcpy(r.data().data(), ptr, N * sizeof(T));
@@ -141,21 +141,21 @@ template <unsigned N, class T>
 
 /// Stores all lanes to memory -- AIE `aie::store_v(ptr, v)`.
 template <class T, unsigned N>
-inline void store_v(T* ptr, const vector<T, N>& v) {
+CGSIM_SIMD_INLINE void store_v(T* ptr, const vector<T, N>& v) {
   record(OpClass::store, (N * sizeof(T) + 31) / 32);
   std::memcpy(ptr, v.data().data(), N * sizeof(T));
 }
 
 /// All-zero vector -- AIE `aie::zeros<T, N>()`.
 template <class T, unsigned N>
-[[nodiscard]] inline vector<T, N> zeros() {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> zeros() {
   record(OpClass::vector_alu);
   return vector<T, N>{};
 }
 
 /// Splats `v` across all lanes -- AIE `aie::broadcast<T, N>(v)`.
 template <class T, unsigned N, class B = simd::backend>
-[[nodiscard]] inline vector<T, N> broadcast(T v) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> broadcast(T v) {
   record(OpClass::vector_alu);
   vector<T, N> r;
   B::template broadcast<T, N>(r.data().data(), v);
@@ -164,33 +164,51 @@ template <class T, unsigned N, class B = simd::backend>
 
 /// Lane iota {0, 1, ...} scaled by `step` -- AIE `aie::iota`.
 template <class T, unsigned N, class B = simd::backend>
-[[nodiscard]] inline vector<T, N> iota(T start = T{0}, T step = T{1}) {
+[[nodiscard]] CGSIM_SIMD_INLINE vector<T, N> iota(T start = T{0}, T step = T{1}) {
   record(OpClass::vector_alu);
   vector<T, N> r;
   B::template iota<T, N>(r.data().data(), start, step);
   return r;
 }
 
-/// Per-lane boolean mask -- mirrors aie::mask<N>.
+/// Per-lane boolean mask -- mirrors aie::mask<N>. Stored as lane bits, the
+/// layout of an AIE mask register: lane i is bit i % 64 of word i / 64
+/// (unused high bits stay zero). Backends consume the words directly, and
+/// a constexpr mask lets the compiler fold a select into a fixed blend.
 template <unsigned N>
 class mask {
  public:
-  [[nodiscard]] constexpr bool get(unsigned i) const { return bits_[i]; }
-  constexpr void set(unsigned i, bool v) { bits_[i] = v; }
+  using words_type = std::array<std::uint64_t, simd::detail::mask_words(N)>;
 
-  [[nodiscard]] constexpr const std::array<bool, N>& data() const {
-    return bits_;
+  constexpr mask() = default;
+
+  /// Mask whose lane i is bit i of `bits` (N <= 64; higher bits ignored).
+  [[nodiscard]] static constexpr mask from_uint64(std::uint64_t bits) {
+    static_assert(N <= 64, "from_uint64 covers masks of up to 64 lanes");
+    mask m;
+    m.words_[0] = N == 64 ? bits : bits & ((std::uint64_t{1} << N) - 1);
+    return m;
   }
-  [[nodiscard]] constexpr std::array<bool, N>& data() { return bits_; }
+
+  [[nodiscard]] constexpr bool get(unsigned i) const {
+    return ((words_[i / 64] >> (i % 64)) & 1u) != 0;
+  }
+  constexpr void set(unsigned i, bool v) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    words_[i / 64] = v ? (words_[i / 64] | bit) : (words_[i / 64] & ~bit);
+  }
+
+  [[nodiscard]] constexpr const words_type& words() const { return words_; }
+  [[nodiscard]] constexpr words_type& words() { return words_; }
   [[nodiscard]] constexpr unsigned count() const {
     unsigned c = 0;
-    for (bool b : bits_) c += b ? 1u : 0u;
+    for (std::uint64_t w : words_) c += static_cast<unsigned>(std::popcount(w));
     return c;
   }
   [[nodiscard]] constexpr bool operator==(const mask&) const = default;
 
  private:
-  std::array<bool, N> bits_{};
+  words_type words_{};
 };
 
 }  // namespace aie

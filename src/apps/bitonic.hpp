@@ -9,6 +9,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <utility>
 
 #include "aie/aie.hpp"
 #include "core/cgsim.hpp"
@@ -19,50 +21,52 @@ using Block = aie::vector<float, 16>;
 
 namespace detail {
 
-/// Select mask for stage (k, j) of a 16-lane bitonic network: lane i takes
+/// Select mask for stage (k, j) of an N-lane bitonic network: lane i takes
 /// the min of (i, i^j) when the lane sorts ascending within its k-block and
-/// is the lower partner -- or both conditions are inverted.
+/// is the lower partner -- or both conditions are inverted. Bit i is lane i.
 template <unsigned N>
-constexpr std::array<bool, N> stage_take_min(unsigned k, unsigned j) {
-  std::array<bool, N> take{};
+constexpr std::uint64_t stage_take_min(unsigned k, unsigned j) {
+  std::uint64_t take = 0;
   for (unsigned i = 0; i < N; ++i) {
     const bool ascending = (i & k) == 0;
     const bool lower = (i & j) == 0;
-    take[i] = ascending == lower;
+    if (ascending == lower) take |= std::uint64_t{1} << i;
   }
   return take;
 }
 
-template <unsigned N>
-aie::mask<N> to_mask(const std::array<bool, N>& bits) {
-  aie::mask<N> m;
-  for (unsigned i = 0; i < N; ++i) m.set(i, bits[i]);
-  return m;
-}
-
-}  // namespace detail
-
-namespace detail {
-
-/// One compare-exchange stage: butterfly stride plus its select mask. The
-/// masks depend only on (k, j) -- compile-time constants in the
-/// hand-optimized kernel -- so the whole network is tabulated once and the
-/// hot loop executes nothing but butterfly/min/max/select.
+/// One compare-exchange stage: butterfly stride plus its select mask.
 struct Stage {
   unsigned j;
-  aie::mask<16> take;
+  std::uint64_t take;
 };
 
-inline const std::array<Stage, 10>& stages16() {
-  static const std::array<Stage, 10> table = [] {
-    std::array<Stage, 10> s{};
-    unsigned n = 0;
-    for (unsigned k = 2; k <= 16; k <<= 1)
-      for (unsigned j = k >> 1; j >= 1; j >>= 1)
-        s[n++] = Stage{j, to_mask<16>(stage_take_min<16>(k, j))};
-    return s;
-  }();
-  return table;
+/// The 16-lane network's ten stages. The strides and masks depend only on
+/// (k, j) -- compile-time constants in the hand-optimized kernel, and here
+/// too: sort16 unrolls over this table, so every butterfly permute and
+/// select blend is fixed at compile time.
+inline constexpr std::array<Stage, 10> kStages16 = [] {
+  std::array<Stage, 10> s{};
+  unsigned n = 0;
+  for (unsigned k = 2; k <= 16; k <<= 1)
+    for (unsigned j = k >> 1; j >= 1; j >>= 1)
+      s[n++] = Stage{j, stage_take_min<16>(k, j)};
+  return s;
+}();
+
+template <class B, Stage S>
+inline Block compare_exchange(const Block& v) {
+  constexpr auto take = aie::mask<16>::from_uint64(S.take);
+  const Block partner = aie::butterfly<B>(v, S.j);
+  const Block lo = aie::min<B>(v, partner);
+  const Block hi = aie::max<B>(v, partner);
+  return aie::select<B>(lo, hi, take);
+}
+
+template <class B, std::size_t... I>
+inline Block sort16_stages(Block v, std::index_sequence<I...>) {
+  ((v = compare_exchange<B, kStages16[I]>(v)), ...);
+  return v;
 }
 
 }  // namespace detail
@@ -73,13 +77,8 @@ inline const std::array<Stage, 10>& stages16() {
 /// backend; results are bit-identical across backends.
 template <class B = aie::simd::backend>
 inline Block sort16(Block v) {
-  for (const auto& [j, take] : detail::stages16()) {
-    const Block partner = aie::butterfly<B>(v, j);
-    const Block lo = aie::min<B>(v, partner);
-    const Block hi = aie::max<B>(v, partner);
-    v = aie::select<B>(lo, hi, take);
-  }
-  return v;
+  return detail::sort16_stages<B>(
+      v, std::make_index_sequence<detail::kStages16.size()>{});
 }
 
 COMPUTE_KERNEL(aie, bitonic_sort16,

@@ -75,8 +75,9 @@ inline BranchBlock branch_filters(const SampleBlock& in, BranchState& st) {
 
   std::array<std::array<std::int16_t, kBlockSamples>*, 4> dst{
       &out.b0, &out.b1, &out.b2, &out.b3};
-  // Coefficient vectors depend only on kCoeffs: built once, not per window.
-  static const std::array<aie::vector<std::int16_t, kTaps>, 4> coeff = [] {
+  // Coefficient vectors depend only on kCoeffs: compile-time constants, as
+  // in the hand-optimized kernel's coefficient tables.
+  static constexpr std::array<aie::vector<std::int16_t, kTaps>, 4> coeff = [] {
     std::array<aie::vector<std::int16_t, kTaps>, 4> c{};
     for (unsigned k = 0; k < 4; ++k)
       for (unsigned j = 0; j < kTaps; ++j) c[k].set(j, kCoeffs[k][j]);

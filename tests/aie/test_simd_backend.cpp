@@ -16,6 +16,7 @@
 #include <limits>
 #include <random>
 #include <typeinfo>
+#include <utility>
 
 #include "aie/aie.hpp"
 #include "apps/bilinear.hpp"
@@ -473,6 +474,220 @@ TEST(SimdBackend, SlidingMulSymEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
+// register-resident sliding multiply (sliding_mac): Points 1..16
+// ---------------------------------------------------------------------------
+
+/// Coefficient regimes of the native sliding_mac: small taps sum in int32
+/// lanes, int16-range taps widen each product, wider taps run full width.
+enum class CoeffRegime { small, int16_full, int16_min, wide };
+
+template <class C, unsigned NC>
+aie::vector<C, NC> regime_coeffs(std::mt19937& rng, CoeffRegime r) {
+  aie::vector<C, NC> c;
+  for (unsigned i = 0; i < NC; ++i) {
+    const auto raw = static_cast<std::int64_t>(rng() % 65536) - 32768;
+    switch (r) {
+      case CoeffRegime::small: c.set(i, static_cast<C>(raw % 2048)); break;
+      case CoeffRegime::int16_full: c.set(i, static_cast<C>(raw)); break;
+      case CoeffRegime::int16_min: c.set(i, static_cast<C>(-32768)); break;
+      case CoeffRegime::wide:
+        c.set(i, static_cast<C>((i % 2 ? 1 : -1) * (70000 + raw)));
+        break;
+    }
+  }
+  return c;
+}
+
+/// Reference, scalar and native sliding_mul_ops<8, Points> must agree at
+/// every dstart: the low ones stay in bounds (the register path), the
+/// high ones wrap past ND (the generic fallback).
+template <unsigned Points, int CoeffStep, int DataStepX, class C>
+void check_sliding_points(const aie::vector<C, 16>& coeff,
+                          const aie::vector<std::int16_t, 32>& data,
+                          unsigned cstart) {
+  using Ops = aie::sliding_mul_ops<8, Points, CoeffStep, DataStepX, 1, Scalar>;
+  using OpsN = aie::sliding_mul_ops<8, Points, CoeffStep, DataStepX, 1, Native>;
+  for (unsigned dstart = 0; dstart < 32; ++dstart) {
+    const auto want = sliding_ref<8, Points, CoeffStep, DataStepX, 1>(
+        coeff, cstart, data, dstart);
+    const auto got_s = Ops::mul(coeff, cstart, data, dstart);
+    const auto got_n = OpsN::mul(coeff, cstart, data, dstart);
+    ASSERT_TRUE(bits_eq(want, got_s))
+        << "Points=" << Points << " dstart=" << dstart;
+    ASSERT_TRUE(bits_eq(got_s, got_n))
+        << "Points=" << Points << " dstart=" << dstart;
+    // mac continues a live accumulator (here: the product itself).
+    ASSERT_TRUE(bits_eq(Ops::mac(got_s, coeff, cstart, data, dstart),
+                        OpsN::mac(got_s, coeff, cstart, data, dstart)))
+        << "Points=" << Points << " dstart=" << dstart;
+  }
+}
+
+template <class C, unsigned... P>
+void check_sliding_all_points(std::mt19937& rng, CoeffRegime regime,
+                              const aie::vector<std::int16_t, 32>& data,
+                              std::integer_sequence<unsigned, P...>) {
+  const auto coeff = regime_coeffs<C, 16>(rng, regime);
+  (check_sliding_points<P + 1, 1, 1>(coeff, data, 0u), ...);
+  (check_sliding_points<P + 1, 1, 1>(coeff, data, 5u), ...);
+}
+
+TEST(SimdBackend, SlidingMacPoints1To16AllRegimes) {
+  std::mt19937 rng(84);
+  const auto points = std::make_integer_sequence<unsigned, 16>{};
+  for (unsigned round = 0; round < 4; ++round) {
+    const auto data = random_vector<std::int16_t, 32>(rng);
+    check_sliding_all_points<std::int16_t>(rng, CoeffRegime::small, data,
+                                           points);
+    check_sliding_all_points<std::int16_t>(rng, CoeffRegime::int16_full, data,
+                                           points);
+    check_sliding_all_points<std::int32_t>(rng, CoeffRegime::wide, data,
+                                           points);
+  }
+}
+
+// All lanes -32768 times a -32768 coefficient: each product is 2^30 and two
+// of them already overflow int32, so every Points >= 2 must leave the
+// 32-bit sum form; the int64 accumulator holds Points * 2^30 exactly.
+TEST(SimdBackend, SlidingMacInt16ExtremesOverflowInt32) {
+  std::mt19937 rng(85);
+  aie::vector<std::int16_t, 32> data;
+  for (unsigned i = 0; i < 32; ++i) data.set(i, -32768);
+  check_sliding_all_points<std::int16_t>(
+      rng, CoeffRegime::int16_min, data,
+      std::make_integer_sequence<unsigned, 16>{});
+  const auto coeff = regime_coeffs<std::int16_t, 16>(rng, CoeffRegime::int16_min);
+  const auto acc = aie::sliding_mul_ops<8, 8, 1, 1, 1, Native>::mul(
+      coeff, 0u, data, 0u);
+  for (unsigned l = 0; l < 8; ++l) {
+    EXPECT_EQ(acc.get(l), std::int64_t{8} << 30);
+  }
+  // Mixed signs at the extremes: +32767 * -32768 next to -32768 * -32768.
+  for (unsigned i = 0; i < 32; ++i) {
+    data.set(i, static_cast<std::int16_t>(i % 2 ? 32767 : -32768));
+  }
+  check_sliding_all_points<std::int16_t>(
+      rng, CoeffRegime::int16_min, data,
+      std::make_integer_sequence<unsigned, 16>{});
+}
+
+// Strided coefficients and data take the register path too (DataStepY 1).
+TEST(SimdBackend, SlidingMacStridedSteps) {
+  std::mt19937 rng(86);
+  for (unsigned round = 0; round < 4; ++round) {
+    const auto data = random_vector<std::int16_t, 32>(rng);
+    const auto coeff = regime_coeffs<std::int16_t, 16>(
+        rng, round % 2 ? CoeffRegime::small : CoeffRegime::int16_full);
+    check_sliding_points<4, 2, 2>(coeff, data, 1u);
+    check_sliding_points<6, -1, 2>(coeff, data, 15u);
+    check_sliding_points<5, 3, -1>(coeff, data, 2u);
+    check_sliding_points<16, 1, 1>(coeff, data, 3u);
+  }
+}
+
+// Float taps accumulate in tap order on both backends (no reassociation).
+TEST(SimdBackend, SlidingMacFloatTapOrder) {
+  std::mt19937 rng(87);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto coeff = random_vector<float, 16>(rng, false);
+    const auto data = random_vector<float, 32>(rng, false);
+    for (unsigned dstart : {0u, 3u, 17u, 30u}) {
+      EXPECT_TRUE(bits_eq(
+          (aie::sliding_mul_ops<8, 13, 1, 1, 1, Scalar>::mul(coeff, 2u, data,
+                                                             dstart)),
+          (aie::sliding_mul_ops<8, 13, 1, 1, 1, Native>::mul(coeff, 2u, data,
+                                                             dstart))))
+          << "dstart=" << dstart;
+      EXPECT_TRUE(bits_eq(
+          (aie::sliding_mul_ops<16, 3, 1, 2, 1, Scalar>::mul(coeff, 0u, data,
+                                                             dstart)),
+          (aie::sliding_mul_ops<16, 3, 1, 2, 1, Native>::mul(coeff, 0u, data,
+                                                             dstart))))
+          << "dstart=" << dstart;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// masks: lane-bit representation and select across lane counts
+// ---------------------------------------------------------------------------
+
+template <class T, unsigned N>
+void check_mask_select(std::mt19937& rng) {
+  SCOPED_TRACE(::testing::Message() << typeid(T).name() << " x " << N);
+  for (unsigned round = 0; round < kFuzzRounds; ++round) {
+    const auto a = random_vector<T, N>(rng, false);
+    const auto b = random_vector<T, N>(rng, false);
+    aie::mask<N> m;
+    std::array<bool, N> bits{};
+    for (unsigned i = 0; i < N; ++i) {
+      bits[i] = (rng() & 1u) != 0;
+      m.set(i, bits[i]);
+    }
+    unsigned want_count = 0;
+    for (unsigned i = 0; i < N; ++i) {
+      ASSERT_EQ(m.get(i), bits[i]) << "lane " << i;
+      want_count += bits[i] ? 1u : 0u;
+    }
+    EXPECT_EQ(m.count(), want_count);
+    // Lane i is bit i % 64 of word i / 64; bits past N stay clear.
+    for (unsigned w = 0; w < m.words().size(); ++w) {
+      for (unsigned bit = 0; bit < 64; ++bit) {
+        const unsigned lane = 64 * w + bit;
+        const bool set = ((m.words()[w] >> bit) & 1u) != 0;
+        ASSERT_EQ(set, lane < N && bits[lane]) << "word " << w << " bit " << bit;
+      }
+    }
+    const auto sel_s = aie::select<Scalar>(a, b, m);
+    const auto sel_n = aie::select<Native>(a, b, m);
+    for (unsigned i = 0; i < N; ++i) {
+      ASSERT_EQ(sel_s.get(i), bits[i] ? a.get(i) : b.get(i)) << "lane " << i;
+    }
+    EXPECT_TRUE(bits_eq(sel_s, sel_n));
+    // Compares write the same lane bits on both backends.
+    const auto lt_s = aie::lt<Scalar>(a, b);
+    EXPECT_EQ(lt_s, aie::lt<Native>(a, b));
+    EXPECT_EQ(aie::ge<Scalar>(a, b), aie::ge<Native>(a, b));
+    for (unsigned i = 0; i < N; ++i) {
+      ASSERT_EQ(lt_s.get(i), a.get(i) < b.get(i)) << "lane " << i;
+    }
+    // All-set and all-clear masks pick one whole operand.
+    aie::mask<N> all;
+    for (unsigned i = 0; i < N; ++i) all.set(i, true);
+    EXPECT_TRUE(bits_eq(aie::select<Native>(a, b, all), a));
+    EXPECT_TRUE(bits_eq(aie::select<Native>(a, b, aie::mask<N>{}), b));
+  }
+}
+
+TEST(SimdBackend, MaskSelectAcrossLaneCounts) {
+  std::mt19937 rng(88);
+  check_mask_select<std::int8_t, 4>(rng);
+  check_mask_select<std::int8_t, 16>(rng);
+  check_mask_select<std::int8_t, 64>(rng);
+  check_mask_select<std::int8_t, 128>(rng);
+  check_mask_select<std::int16_t, 8>(rng);
+  check_mask_select<std::int16_t, 32>(rng);
+  check_mask_select<std::int16_t, 64>(rng);
+  check_mask_select<std::int32_t, 4>(rng);
+  check_mask_select<std::int32_t, 16>(rng);
+  check_mask_select<std::int32_t, 64>(rng);
+  check_mask_select<float, 8>(rng);
+  check_mask_select<float, 16>(rng);
+  check_mask_select<float, 32>(rng);
+  check_mask_select<std::int64_t, 8>(rng);
+}
+
+TEST(SimdBackend, MaskFromBitsIsConstexpr) {
+  constexpr auto m = aie::mask<16>::from_uint64(0xFFFF0000A5A5ull);
+  static_assert(m.get(0) && !m.get(1) && m.get(2) && m.get(15));
+  static_assert(m.count() == 8);  // bits past lane 15 are dropped
+  static_assert(m.words()[0] == 0xA5A5u);
+  constexpr auto full = aie::mask<64>::from_uint64(~0ull);
+  static_assert(full.count() == 64);
+  EXPECT_EQ(m, aie::mask<16>::from_uint64(0xA5A5u));
+}
+
+// ---------------------------------------------------------------------------
 // intrinsic spellings ride on the same backends
 // ---------------------------------------------------------------------------
 
@@ -579,6 +794,50 @@ TEST(SimdBackend, OpCountsIdenticalAcrossBackends) {
   }
   EXPECT_EQ(cs.counts, cn.counts);
   EXPECT_GT(cs.counts.total(), 0u);
+}
+
+/// Per-class counts of one call, indexed by OpClass.
+using ClassCounts = std::array<std::uint64_t, aie::kNumOpClasses>;
+
+template <class F>
+ClassCounts counts_of(F&& f) {
+  aie::OpCounter counter;
+  {
+    aie::ScopedCounter scoped{&counter};
+    f();
+  }
+  return counter.counts.ops;
+}
+
+// The per-call OpCounts of the paper kernels are what the cycle model and
+// the benchmark's exact op total read; they must not move when the
+// emulation gets faster. Order: vector_mac, vector_alu, vector_shift,
+// shuffle, load, store, scalar.
+template <class B>
+void check_paper_kernel_counts() {
+  SCOPED_TRACE(B::name);
+  apps::bitonic::Block v;
+  for (unsigned l = 0; l < 16; ++l) v.set(l, static_cast<float>(l * 7 % 16));
+  EXPECT_EQ(counts_of([&] { (void)apps::bitonic::sort16<B>(v); }),
+            (ClassCounts{0, 30, 0, 10, 0, 0, 0}));
+
+  apps::farrow::SampleBlock in;
+  apps::farrow::MuBlock mu;
+  for (unsigned i = 0; i < apps::farrow::kBlockSamples; ++i) {
+    in.s[i] = static_cast<std::int16_t>(i * 37);
+    mu.mu[i] = static_cast<std::int16_t>(i % 16384);
+  }
+  apps::farrow::BranchState st{};
+  apps::farrow::BranchBlock br;
+  EXPECT_EQ(counts_of([&] { br = apps::farrow::branch_filters<B>(in, st); }),
+            (ClassCounts{8192, 0, 1024, 0, 256, 1024, 0}));
+  EXPECT_EQ(counts_of([&] { (void)apps::farrow::combine<B>(br, mu); }),
+            (ClassCounts{768, 0, 1536, 0, 1280, 256, 0}));
+}
+
+TEST(SimdBackend, PaperKernelOpCountsPinned) {
+  check_paper_kernel_counts<Scalar>();
+  check_paper_kernel_counts<Native>();
 }
 
 TEST(SimdBackend, ScopedCounterBatchMatchesDirectCounter) {

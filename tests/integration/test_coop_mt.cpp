@@ -247,6 +247,61 @@ TEST(CoopMt, WideGraphUsesAllShardsWithoutCrossEdges) {
   EXPECT_EQ(od, std::vector<int>(100, 8));
 }
 
+// Records the thread each kernel resumption runs on.
+thread_local bool t_probe_ran = false;
+
+COMPUTE_KERNEL(aie, mt_thread_probe,
+               KernelReadPort<int> in,
+               KernelWritePort<int> out) {
+  while (true) {
+    const int v = co_await in.get();
+    t_probe_ran = true;
+    co_await out.put(v + 7);
+  }
+}
+
+constexpr auto mt_one_kernel = make_compute_graph_v<[](IoConnector<int> a) {
+  IoConnector<int> b;
+  mt_thread_probe(a, b);
+  return std::make_tuple(b);
+}>;
+
+// A one-kernel graph partitions to one shard at any worker count; that
+// shard runs on the calling thread and does exactly coop's work.
+TEST(CoopMt, OneShardPartitionRunsOnCallingThreadLikeCoop) {
+  std::vector<int> in(300);
+  for (int i = 0; i < 300; ++i) in[static_cast<std::size_t>(i)] = 5 * i - 700;
+  std::vector<int> coop, one;
+  const RunResult rc = mt_one_kernel.run(
+      RunOptions{.mode = ExecMode::coop, .repetitions = 1}, in, coop);
+  t_probe_ran = false;
+  const RunResult rm = mt_one_kernel.run(mt(4), in, one);
+  EXPECT_TRUE(t_probe_ran) << "the one-shard kernel ran on another thread";
+  EXPECT_EQ(rm.shards_used, 1);
+  EXPECT_FALSE(rm.deadlocked);
+  EXPECT_EQ(one, coop);
+  EXPECT_EQ(rm.resumes, rc.resumes);
+  ASSERT_EQ(rm.worker_loads.size(), 1u);
+  EXPECT_EQ(rm.worker_loads[0].resumes, rm.resumes);
+  EXPECT_GE(rm.worker_loads[0].busy_s, 0.0);
+
+  // The same holds for a paper app that partitions to one shard.
+  std::mt19937 rng{97};
+  std::uniform_real_distribution<float> d{-100, 100};
+  std::vector<apps::bitonic::Block> blocks(48);
+  for (auto& b : blocks) {
+    for (unsigned i = 0; i < 16; ++i) b.set(i, d(rng));
+  }
+  std::vector<apps::bitonic::Block> bc, bm;
+  const RunResult bitonic_coop = apps::bitonic::graph.run(
+      RunOptions{.mode = ExecMode::coop, .repetitions = 1}, blocks, bc);
+  const RunResult bitonic_mt = apps::bitonic::graph.run(mt(4), blocks, bm);
+  EXPECT_EQ(bitonic_mt.shards_used, 1);
+  EXPECT_EQ(bm, bc);
+  EXPECT_EQ(bitonic_mt.resumes, bitonic_coop.resumes);
+  ASSERT_EQ(bitonic_mt.worker_loads.size(), 1u);
+}
+
 TEST(CoopMt, RepeatedRunsAreDeterministic) {
   std::vector<int> in(500);
   for (int i = 0; i < 500; ++i) in[static_cast<std::size_t>(i)] = i * 3;

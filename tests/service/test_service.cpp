@@ -242,6 +242,72 @@ TEST(Service, SimLaneRunsAndIncrementalRerun) {
   EXPECT_EQ(warm.outputs, ref.outputs);
 }
 
+// Warm sim reruns after an incremental one: the dirty set must be taken
+// against the lane's full-run baseline (the ResimSession's), not the
+// previous run's inputs. Otherwise re-sending the value just run finds
+// nothing dirty and returns the baseline's outputs, and a change to the
+// other input drops the first change from the dirty set. Input 1 takes
+// A, B, B again, A again, C; then input 0 changes, then input 1 again.
+// Every run is checked against a fresh daemon.
+TEST(Service, SimRerunsMatchFreshDaemonAcrossResentValues) {
+  LocalDaemon d;
+  auto cli = d.connect();
+  const GraphSpec spec = twin_chain_spec();
+  const auto sid = cli.open(RunMode::sim, spec);
+  const std::vector<int> x0 = iota_vec(128, 0);
+  std::vector<int> y0 = x0;
+  y0[9] += 123;
+  const std::vector<int> a = iota_vec(128, 100);
+  std::vector<int> b = a;
+  b[5] += 9000;
+  std::vector<int> c = a;
+  c[77] -= 4321;
+  std::vector<int> e = a;
+  e[100] += 1;
+
+  send_vec(cli, sid, 0, x0);
+  send_vec(cli, sid, 1, a);
+  RunOutcome first = cli.run(sid);
+  ASSERT_TRUE(first.ok) << first.error;
+
+  const auto fresh_run = [&](const std::vector<int>& in0,
+                             const std::vector<int>& in1) {
+    LocalDaemon fresh;
+    auto cli2 = fresh.connect();
+    const auto sid2 = cli2.open(RunMode::sim, spec);
+    send_vec(cli2, sid2, 0, in0);
+    send_vec(cli2, sid2, 1, in1);
+    RunOutcome ref = cli2.run(sid2);
+    EXPECT_TRUE(ref.ok) << ref.error;
+    return ref;
+  };
+  EXPECT_EQ(first.result.digest, fresh_run(x0, a).result.digest);
+
+  struct Step {
+    const char* name;
+    std::size_t input;
+    const std::vector<int>* value;
+  };
+  const Step steps[] = {{"B", 1, &b},       {"B again", 1, &b},
+                        {"A again", 1, &a}, {"C", 1, &c},
+                        {"input 0", 0, &y0}, {"then input 1", 1, &e}};
+  const std::vector<int>* cur[2] = {&x0, &a};
+  for (const Step& st : steps) {
+    cur[st.input] = st.value;
+    cli.send_rtp(sid, st.input, st.value->data(),
+                 st.value->size() * sizeof(int));
+    RunOutcome warm = cli.run(sid);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_TRUE(warm.result.warm) << st.name;
+    const RunOutcome ref = fresh_run(*cur[0], *cur[1]);
+    EXPECT_EQ(warm.result.digest, ref.result.digest)
+        << st.name << ": stale outputs";
+    EXPECT_EQ(warm.result.virtual_cycles, ref.result.virtual_cycles)
+        << st.name;
+    EXPECT_EQ(warm.outputs, ref.outputs) << st.name;
+  }
+}
+
 TEST(Service, ConcurrentClientsShareWarmLanes) {
   DaemonConfig cfg;
   cfg.io_threads = 2;
