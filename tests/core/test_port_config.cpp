@@ -84,6 +84,24 @@ TEST(PortSettings, MergeOrFailIsConstexprForCompatible) {
 // identity, for every combination.
 class MergeIdentity : public ::testing::TestWithParam<PortSettings> {};
 
+// Static storage: the values are zero-initialized, padding included, before
+// their initializers run. gtest names each case after the parameter's raw
+// bytes, so temporaries with indeterminate padding gave names that changed
+// from one build or run to the next.
+constexpr PortSettings kMergeIdentityCases[] = {
+    PortSettings{},
+    PortSettings{.beat_bits = 32},
+    PortSettings{.beat_bits = 64},
+    PortSettings{.beat_bits = 128},
+    PortSettings{.buffer = BufferMode::stream},
+    PortSettings{.buffer = BufferMode::window, .window_size = 64},
+    PortSettings{.buffer = BufferMode::pingpong, .window_size = 2048},
+    PortSettings{.beat_bits = 64,
+                 .rtp = false,
+                 .buffer = BufferMode::stream,
+                 .window_size = 0},
+};
+
 TEST_P(MergeIdentity, DefaultIsNeutralElement) {
   const PortSettings s = GetParam();
   const MergeResult left = try_merge_settings(PortSettings{}, s);
@@ -94,20 +112,8 @@ TEST_P(MergeIdentity, DefaultIsNeutralElement) {
   EXPECT_EQ(right.merged, s);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, MergeIdentity,
-    ::testing::Values(
-        PortSettings{},
-        PortSettings{.beat_bits = 32},
-        PortSettings{.beat_bits = 64},
-        PortSettings{.beat_bits = 128},
-        PortSettings{.buffer = BufferMode::stream},
-        PortSettings{.buffer = BufferMode::window, .window_size = 64},
-        PortSettings{.buffer = BufferMode::pingpong, .window_size = 2048},
-        PortSettings{.beat_bits = 64,
-                     .rtp = false,
-                     .buffer = BufferMode::stream,
-                     .window_size = 0}));
+INSTANTIATE_TEST_SUITE_P(AllModes, MergeIdentity,
+                         ::testing::ValuesIn(kMergeIdentityCases));
 
 TEST(Attributes, Equality) {
   const Attribute a{"k", "v", 0, false};
